@@ -65,6 +65,7 @@ Core::reset(std::uint64_t seed)
     nextSeq_ = 0;
     committed_ = 0;
     now_ = 0;
+    issueRejected_ = 0;
     runActive_ = false;
     runStart_ = 0;
 
@@ -115,12 +116,73 @@ Core::run(const Program &program, const RunOptions &options)
     if (runYield_ != nullptr) {
         // Batched execution: the driver steps this core, interleaving
         // its cycles with other trials' cores (see RunYield).
+        // lint-ok(hot-virtual): once per run, not per cycle
         runYield_->driveRun(*this);
-    } else {
+    } else if (interruptProb_ > 0.0) {
+        // Interrupt noise draws the Rng every cycle, so every cycle is
+        // stepped: skipping would shift the stream.
         while (runStep()) {
         }
+    } else {
+        while (runStep())
+            skipIdleCycles();
     }
     return runFinish();
+}
+
+Cycle
+Core::nextActiveCycle() const
+{
+    const Cycle next_cycle = now_ + 1;
+    // Issue candidates the last tickIssue did not reject (width ran
+    // out, or dispatched after it) may issue next cycle. Rejections
+    // hinge only on older entries, which change at writeback or
+    // commit — except DelayOnMiss's, which asks the L1 at `now`.
+    const auto &ready = rob_.readyUnissued();
+    if (ready.size() != issueRejected_ ||
+        (!ready.empty() && cfg_.cleanupMode == CleanupMode::DelayOnMiss)) {
+        return next_cycle;
+    }
+
+    Cycle next = kCycleNever;
+    for (const SeqNum seq : rob_.outstanding())
+        next = std::min(next, rob_.find(seq)->readyCycle);
+    if (!rob_.empty() && rob_.front().done)
+        next = std::min(next, std::max(next_cycle, commitStallUntil_));
+    if (!decodeQueue_.empty() && !rob_.full() &&
+        !(isMem(decodeQueue_.front().inst.op) &&
+          LoadStoreQueue::occupancy(rob_) >= lsq_.capacity())) {
+        next = std::min(next, decodeQueue_.front().availCycle);
+    }
+    if (!fetchStopped_ && !decodeQueue_.full())
+        next = std::min(next, fetchResumeCycle_);
+    return std::max({next, next_cycle, stallUntil_});
+}
+
+void
+Core::skipIdleCycles()
+{
+    const Cycle event = nextActiveCycle();
+    if (event <= now_ + 1)
+        return;
+    // Land one cycle short of the event so the next runStep steps onto
+    // it. The cap is the run's last allowed cycle, so the watchdog
+    // trips on the same cycle with the same warning.
+    const std::uint64_t left = runMaxCycles_ - (now_ - runStart_);
+    const Cycle target = now_ + std::min<std::uint64_t>(event - 1 - now_,
+                                                        left);
+    if (target == now_)
+        return;
+    // State is frozen across the jump, so one audit covers every
+    // period boundary it crosses.
+    if constexpr (kAuditEnabled) {
+        if (target / audit::period() != now_ / audit::period())
+            auditInvariants();
+    }
+    simTicks_ += target - now_;
+    now_ = target;
+    if (kTraceEnabled && eventTrace_ != nullptr)
+        eventTrace_->setNow(now_);
 }
 
 void
@@ -130,6 +192,7 @@ Core::runBegin(const Program &program, const RunOptions &options)
     runOptions_ = options;
     if (options.resetMicroarch) {
         hier_.resetCaches();
+        // lint-ok(hot-virtual): once per run, not per cycle
         predictor_->reset();
     }
     if (options.loadData)
@@ -204,7 +267,7 @@ Core::runStep()
     if (now_ < stallUntil_)
         return true;
 
-    tickWriteback(*program_);
+    tickWriteback();
     tickCommit();
     if (halted_ || committed_ >= runOptions_.maxInstructions)
         return false;
@@ -306,7 +369,8 @@ Core::tickIssue()
     // simulator's profile. rob_.markIssued erases the current element,
     // so the index only advances on skip.
     const auto &window = rob_.readyUnissued();
-    for (std::size_t i = 0; i < window.size();) {
+    std::size_t i = 0;
+    while (i < window.size()) {
         if (issued >= cfg_.core.issueWidth)
             break;
         RobEntry &entry = *rob_.find(window[i]);
@@ -457,12 +521,14 @@ Core::tickIssue()
         }
         ++issued;
     }
+    // Every entry still on the list was visited and rejected unless
+    // issue width ran out first (see nextActiveCycle).
+    issueRejected_ = i == window.size() ? window.size() : kIssueUnfinished;
 }
 
 void
-Core::tickWriteback(const Program &program)
+Core::tickWriteback()
 {
-    (void)program;
     // Walk the issued-but-not-done side list (ascending seq, same
     // order as a full ROB scan). rob_.markDone erases the current
     // element, so the index only advances on skip.

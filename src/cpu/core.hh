@@ -112,9 +112,12 @@ class Core
      * Stepped execution for the Machine scheduler: runBegin() latches
      * the program and per-run state, each runStep() advances exactly
      * one cycle (returning false once the run is over), and
-     * runFinish() produces the RunResult. run() is exactly
-     * runBegin + runStep-until-false + runFinish, so single-core
-     * behavior is identical whichever driver is used.
+     * runFinish() produces the RunResult. run() is runBegin +
+     * runStep-until-false + runFinish, except that between steps it
+     * may jump over cycles in which no stage can act (see
+     * nextActiveCycle); the jump changes no result, counter or cycle
+     * count, so single-core behavior is identical whichever driver is
+     * used.
      */
     void runBegin(const Program &program, const RunOptions &options = {});
     bool runStep();
@@ -126,7 +129,9 @@ class Core
      * Clock sync for interleaved multi-core scheduling: lift this
      * core's monotonic cycle counter to `cycle` (never backwards).
      * Idle cycles spent waiting for other cores do not count as
-     * sim_ticks.
+     * sim_ticks. Contrast run()'s idle-cycle skip, which jumps over
+     * cycles of the core's own run and does count them as sim_ticks,
+     * exactly as stepping through them would.
      */
     void advanceTo(Cycle cycle);
 
@@ -225,7 +230,7 @@ class Core
     };
 
     UNXPEC_TRANSITION("spec")
-    void tickWriteback(const Program &program);
+    void tickWriteback();
     UNXPEC_TRANSITION("commit")
     void tickCommit();
     /** Issue stage: marks ROB entries speculative and launches the
@@ -240,6 +245,22 @@ class Core
     UNXPEC_ROLLBACK("*")
     void squashAfter(RobEntry &branch);
     void rebuildRat();
+
+    /**
+     * Earliest cycle after now() at which some stage can change state,
+     * given that nothing changes before it: the next writeback, a
+     * commit, a dispatch or a fetch, floored at the stall window. Any
+     * cycle strictly before it is quiescent. Returns now() + 1 when
+     * the next cycle may act or the skip must stay off (issue
+     * candidates the last tickIssue did not reject; DelayOnMiss, whose
+     * rejection depends on the clock). run() does not ask at all while
+     * interrupt noise is on: it draws the Rng every cycle.
+     */
+    Cycle nextActiveCycle() const;
+    /** Jump now() over the quiescent cycles before nextActiveCycle(),
+     *  accounting for sim_ticks, the trace clock, the audit period and
+     *  the run's cycle limit (run()'s inline loop only). */
+    void skipIdleCycles();
 
     void executeEntry(RobEntry &entry);
     void commitStore(RobEntry &entry);
@@ -285,6 +306,12 @@ class Core
     SeqNum nextSeq_ = 0;
     std::uint64_t committed_ = 0;
     Cycle now_ = 0;
+    /** readyUnissued() size the last tickIssue left after rejecting
+     *  every entry it visited; kIssueUnfinished when issue width ran
+     *  out first. Rejected entries stay blocked until a writeback or a
+     *  commit, so an unchanged size means no issue candidate waits. */
+    static constexpr std::size_t kIssueUnfinished = SIZE_MAX;
+    std::size_t issueRejected_ = 0;
 
     // Noise injection.
     double interruptProb_ = 0.0;

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "attack/unxpec.hh"
 #include "cleanup/cleanup_engine.hh"
 #include "cleanup/spec_tracker.hh"
 #include "cpu/core.hh"
@@ -401,6 +404,116 @@ TEST(CoreAudit, CleanAfterSpeculativeRunWithSquashes)
     b.halt();
     core.run(b.build());
     EXPECT_NO_THROW(core.auditInvariants());
+}
+
+// --- idle-cycle skip ---------------------------------------------------
+
+/** Sets the audit period for one scope and restores it after. */
+class PeriodGuard
+{
+  public:
+    explicit PeriodGuard(Cycle cycles) : saved_(audit::period())
+    {
+        audit::setPeriod(cycles);
+    }
+    ~PeriodGuard() { audit::setPeriod(saved_); }
+    PeriodGuard(const PeriodGuard &) = delete;
+    PeriodGuard &operator=(const PeriodGuard &) = delete;
+
+  private:
+    Cycle saved_;
+};
+
+/** The fig03 gadget (secret 1) under full cleanup: long rollback
+ *  stalls that restore L1 and L2 victims. */
+SystemConfig
+longStallConfig()
+{
+    SystemConfig cfg = SystemConfig::makeDefault();
+    cfg.cleanupMode = CleanupMode::Cleanup_FULL;
+    return cfg;
+}
+
+/** Run one program on `core` cycle by cycle, never skipping. */
+RunResult
+runStepped(Core &core, const Program &program)
+{
+    core.runBegin(program);
+    while (core.runStep()) {
+    }
+    return core.runFinish();
+}
+
+TEST(SkipAudit, SmallPeriodAcrossRollbackStalls)
+{
+    // At this period every jump over a rollback stall crosses an audit
+    // boundary. The audit of the frozen mid-stall state must pass and
+    // change nothing: the run matches a cycle-by-cycle run.
+    const PeriodGuard period(3);
+    Core skipping(longStallConfig());
+    Core stepping(longStallConfig());
+    UnxpecAttack skip_attack(skipping);
+    UnxpecAttack step_attack(stepping);
+    skip_attack.setSecret(1);
+    step_attack.setSecret(1);
+    skipping.cleanup().enableLog(true);
+
+    RunResult skip;
+    ASSERT_NO_THROW(skip = skipping.run(skip_attack.program()));
+    const RunResult step = runStepped(stepping, step_attack.program());
+    EXPECT_EQ(skip.cycles, step.cycles);
+    EXPECT_EQ(skip.instructions, step.instructions);
+    EXPECT_EQ(skip.regs, step.regs);
+    EXPECT_EQ(skipping.now(), stepping.now());
+
+    Cycle longest = 0;
+    for (const SquashLog &log : skipping.cleanup().log())
+        longest = std::max(longest, log.stall);
+    EXPECT_GT(longest, 3u * audit::period()) << "no long rollback stall";
+}
+
+TEST(SkipAudit, JumpAuditsBoundaryInsideStall)
+{
+    if (!kAuditEnabled)
+        GTEST_SKIP() << "built without UNXPEC_AUDIT";
+    // Put the run's only audit boundary inside its last long rollback
+    // stall. A cycle-by-cycle run audits no stalled cycle, so it never
+    // audits; Core::run jumps over the stall and must audit once.
+    Cycle boundary = 0;
+    Cycle end = 0;
+    {
+        Core probe(longStallConfig());
+        UnxpecAttack attack(probe);
+        attack.setSecret(1);
+        probe.cleanup().enableLog(true);
+        probe.run(attack.program());
+        end = probe.now();
+        for (const SquashLog &log : probe.cleanup().log()) {
+            if (log.stall >= 8)
+                boundary = log.cycle + log.stall / 2;
+        }
+    }
+    ASSERT_GT(boundary, 0u) << "no long rollback stall";
+    ASSERT_GT(2 * boundary, end) << "a second boundary falls in the run";
+    const PeriodGuard period(boundary);
+
+    // A desynced tag mirror on an L2 line the gadget never touches:
+    // any audit of either core catches it.
+    const auto corrupt = [](Core &core) {
+        Cache &l2 = core.hierarchy().l2();
+        const FillResult fill = l2.install(0x7f000000, 0, false, kSeqNone);
+        AuditTap::smashTag(l2, fill.set, fill.way, 0x7f100000);
+    };
+    Core stepping(longStallConfig());
+    Core skipping(longStallConfig());
+    UnxpecAttack step_attack(stepping);
+    UnxpecAttack skip_attack(skipping);
+    step_attack.setSecret(1);
+    skip_attack.setSecret(1);
+    corrupt(stepping);
+    corrupt(skipping);
+    EXPECT_NO_THROW(runStepped(stepping, step_attack.program()));
+    EXPECT_THROW(skipping.run(skip_attack.program()), AuditError);
 }
 
 } // namespace
