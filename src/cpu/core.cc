@@ -118,12 +118,9 @@ Core::run(const Program &program, const RunOptions &options)
         // its cycles with other trials' cores (see RunYield).
         // lint-ok(hot-virtual): once per run, not per cycle
         runYield_->driveRun(*this);
-    } else if (interruptProb_ > 0.0) {
-        // Interrupt noise draws the Rng every cycle, so every cycle is
-        // stepped: skipping would shift the stream.
-        while (runStep()) {
-        }
     } else {
+        // Step, then jump over the cycles no stage can act in; under
+        // interrupt noise the jump replays each skipped cycle's draw.
         while (runStep())
             skipIdleCycles();
     }
@@ -135,13 +132,14 @@ Core::nextActiveCycle() const
 {
     const Cycle next_cycle = now_ + 1;
     // Issue candidates the last tickIssue did not reject (width ran
-    // out, or dispatched after it) may issue next cycle. Rejections
-    // hinge only on older entries, which change at writeback or
-    // commit — except DelayOnMiss's, which asks the L1 at `now`.
+    // out, or dispatched after it) may issue on the next unstalled
+    // cycle. Rejections hinge only on older entries, which change at
+    // writeback or commit — except DelayOnMiss's, which asks the L1 at
+    // `now`.
     const auto &ready = rob_.readyUnissued();
     if (ready.size() != issueRejected_ ||
         (!ready.empty() && cfg_.cleanupMode == CleanupMode::DelayOnMiss)) {
-        return next_cycle;
+        return std::max(next_cycle, stallUntil_);
     }
 
     Cycle next = kCycleNever;
@@ -156,6 +154,10 @@ Core::nextActiveCycle() const
     }
     if (!fetchStopped_ && !decodeQueue_.full())
         next = std::min(next, fetchResumeCycle_);
+    // Nothing in flight and nothing to fetch: the first unstalled
+    // cycle ends the run (run-off), so the jump must stop there.
+    if (next == kCycleNever)
+        next = next_cycle;
     return std::max({next, next_cycle, stallUntil_});
 }
 
@@ -169,10 +171,22 @@ Core::skipIdleCycles()
     // it. The cap is the run's last allowed cycle, so the watchdog
     // trips on the same cycle with the same warning.
     const std::uint64_t left = runMaxCycles_ - (now_ - runStart_);
-    const Cycle target = now_ + std::min<std::uint64_t>(event - 1 - now_,
-                                                        left);
+    const auto landing = [&](Cycle wake) {
+        return now_ + std::min<std::uint64_t>(wake - 1 - now_, left);
+    };
+    Cycle target = landing(event);
     if (target == now_)
         return;
+    // Interrupt noise is the only Rng draw a quiescent cycle makes, so
+    // replay it for each skipped cycle in order: the stream stays the
+    // one a cycle-by-cycle run sees. A hit can only move the event
+    // later (nextActiveCycle floors it at the stall window).
+    if (interruptProb_ > 0.0) {
+        for (Cycle cycle = now_ + 1; cycle <= target; ++cycle) {
+            if (drawInterrupt(cycle))
+                target = landing(std::max(event, stallUntil_));
+        }
+    }
     // State is frozen across the jump, so one audit covers every
     // period boundary it crosses.
     if constexpr (kAuditEnabled) {
@@ -257,11 +271,8 @@ Core::runStep()
 
     // External noise: other honest programs occasionally steal the
     // core (interrupts, scheduler ticks).
-    if (interruptProb_ > 0.0 && rng_.chance(interruptProb_)) {
-        const unsigned span = interruptMax_ - interruptMin_ + 1;
-        stallUntil_ = std::max(
-            stallUntil_, now_ + interruptMin_ + rng_.range(span));
-    }
+    if (interruptProb_ > 0.0)
+        drawInterrupt(now_);
 
     // Cleanup (or noise) stall freezes every stage.
     if (now_ < stallUntil_)
@@ -292,6 +303,17 @@ Core::runStep()
         committed_ >= runOptions_.warmupInstructions) {
         runResult_.warmupCycles = now_ - runStart_;
     }
+    return true;
+}
+
+bool
+Core::drawInterrupt(Cycle cycle)
+{
+    if (!rng_.chance(interruptProb_))
+        return false;
+    const unsigned span = interruptMax_ - interruptMin_ + 1;
+    stallUntil_ = std::max(stallUntil_,
+                           cycle + interruptMin_ + rng_.range(span));
     return true;
 }
 

@@ -221,6 +221,9 @@ class Core
     void auditInvariants() const;
 
   private:
+    // Test-only hooks into the idle-cycle skip (tests/idle_skip_test.cc).
+    friend struct AuditTap;
+
     struct FetchedInst
     {
         std::size_t pc = 0;
@@ -250,17 +253,24 @@ class Core
      * Earliest cycle after now() at which some stage can change state,
      * given that nothing changes before it: the next writeback, a
      * commit, a dispatch or a fetch, floored at the stall window. Any
-     * cycle strictly before it is quiescent. Returns now() + 1 when
-     * the next cycle may act or the skip must stay off (issue
-     * candidates the last tickIssue did not reject; DelayOnMiss, whose
-     * rejection depends on the clock). run() does not ask at all while
-     * interrupt noise is on: it draws the Rng every cycle.
+     * cycle strictly before it is quiescent. Returns the first
+     * unstalled cycle after now() when it may act or the skip must
+     * stay off (issue candidates the last tickIssue did not reject;
+     * DelayOnMiss, whose rejection depends on the clock; nothing left
+     * in flight or to fetch, where that cycle ends the run). Interrupt
+     * noise is not an event: a stall it starts only moves the answer
+     * later, through the stallUntil_ floor.
      */
     Cycle nextActiveCycle() const;
     /** Jump now() over the quiescent cycles before nextActiveCycle(),
      *  accounting for sim_ticks, the trace clock, the audit period and
-     *  the run's cycle limit (run()'s inline loop only). */
+     *  the run's cycle limit (run()'s inline loop only). Under
+     *  interrupt noise it makes each skipped cycle's drawInterrupt()
+     *  in order, extending the jump past any stall a hit starts. */
     void skipIdleCycles();
+    /** Interrupt noise's per-cycle draw for `cycle`: on a hit, extend
+     *  the stall window from it. Returns whether it hit. */
+    bool drawInterrupt(Cycle cycle);
 
     void executeEntry(RobEntry &entry);
     void commitStore(RobEntry &entry);

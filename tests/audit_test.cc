@@ -13,6 +13,7 @@
 
 #include <algorithm>
 
+#include "attack/noise.hh"
 #include "attack/unxpec.hh"
 #include "cleanup/cleanup_engine.hh"
 #include "cleanup/spec_tracker.hh"
@@ -470,6 +471,37 @@ TEST(SkipAudit, SmallPeriodAcrossRollbackStalls)
     for (const SquashLog &log : skipping.cleanup().log())
         longest = std::max(longest, log.stall);
     EXPECT_GT(longest, 3u * audit::period()) << "no long rollback stall";
+}
+
+TEST(SkipAudit, InterruptsInsideJumpsAcrossPeriods)
+{
+    // Dense interrupt noise at a small period: draws replayed inside a
+    // jump start stalls that extend it across audit boundaries. Every
+    // audit of the frozen state must pass, and the run must match a
+    // cycle-by-cycle run, Rng stream position included.
+    const PeriodGuard period(5);
+    NoiseProfile dense;
+    dense.interruptProbPerCycle = 0.05;
+    dense.interruptStallMin = 20;
+    dense.interruptStallMax = 200;
+    Core skipping(longStallConfig());
+    Core stepping(longStallConfig());
+    dense.applyTo(skipping);
+    dense.applyTo(stepping);
+    UnxpecAttack skip_attack(skipping);
+    UnxpecAttack step_attack(stepping);
+    skip_attack.setSecret(1);
+    step_attack.setSecret(1);
+
+    RunResult skip;
+    ASSERT_NO_THROW(skip = skipping.run(skip_attack.program()));
+    const RunResult step = runStepped(stepping, step_attack.program());
+    EXPECT_EQ(skip.cycles, step.cycles);
+    EXPECT_EQ(skip.instructions, step.instructions);
+    EXPECT_EQ(skip.regs, step.regs);
+    EXPECT_EQ(skipping.now(), stepping.now());
+    EXPECT_EQ(skipping.rng().uniform(), stepping.rng().uniform());
+    EXPECT_GT(skip.cycles, 20u * audit::period()) << "run too short";
 }
 
 TEST(SkipAudit, JumpAuditsBoundaryInsideStall)

@@ -5,8 +5,10 @@
  * Machine::runInterleaved drives the same core through runStep(), one
  * cycle at a time, and never skips. Every program here runs on two
  * fresh, identically seeded machines, one per driver, under every
- * CleanupMode: results, every statistics counter and the core clock
- * must come out identical.
+ * CleanupMode: results, every statistics counter, the core clock and
+ * the Rng stream position must come out identical. Under interrupt
+ * noise the skip replays each skipped cycle's draw, so noisy runs
+ * are compared the same way.
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +19,28 @@
 #include <string>
 #include <vector>
 
+#include "attack/noise.hh"
 #include "attack/unxpec.hh"
 #include "cpu/core.hh"
 #include "machine/machine.hh"
 #include "victim/victim.hh"
 
 namespace unxpec {
+
+/** Test-only hooks into Core's idle-cycle skip (friend of Core). */
+struct AuditTap
+{
+    static Cycle
+    nextActiveCycle(const Core &core)
+    {
+        return core.nextActiveCycle();
+    }
+
+    static Cycle stallUntil(const Core &core) { return core.stallUntil_; }
+
+    static void skipIdleCycles(Core &core) { core.skipIdleCycles(); }
+};
+
 namespace {
 
 const std::vector<CleanupMode> &
@@ -65,6 +83,58 @@ allStats(Core &core)
            dump(core.hierarchy().l2().stats());
 }
 
+/** The value the core's Rng draws next, without drawing it. */
+double
+nextDraw(Core &core)
+{
+    Rng peek = core.rng();
+    return peek.uniform();
+}
+
+/** Interrupt-noise profiles the noisy cases sweep. */
+struct NamedNoise
+{
+    const char *name;
+    NoiseProfile profile;
+};
+
+/** Interrupts every ~20 cycles: hits land inside most jumps, and
+ *  stalls overlap and extend each other. */
+NoiseProfile
+denseNoise()
+{
+    NoiseProfile dense;
+    dense.interruptProbPerCycle = 0.05;
+    dense.interruptStallMin = 20;
+    dense.interruptStallMax = 200;
+    return dense;
+}
+
+const std::vector<NamedNoise> &
+noiseProfiles()
+{
+    static const std::vector<NamedNoise> profiles = {
+        {"evaluation", NoiseProfile::evaluation()},
+        {"noisy_host", NoiseProfile::noisyHost()},
+        {"dense", denseNoise()},
+    };
+    return profiles;
+}
+
+/** Two identically seeded one-core machines under the same noise. */
+struct MachinePair
+{
+    MachinePair(SystemConfig cfg, const NoiseProfile &noise)
+        : skipping((noise.applyTo(cfg), cfg)), stepping(cfg)
+    {
+        noise.applyTo(skipping.core());
+        noise.applyTo(stepping.core());
+    }
+
+    Machine skipping;
+    Machine stepping;
+};
+
 void
 expectSameResult(const RunResult &skip, const RunResult &step,
                  const std::string &where)
@@ -77,6 +147,15 @@ expectSameResult(const RunResult &skip, const RunResult &step,
     EXPECT_EQ(skip.regs, step.regs) << where;
 }
 
+/** Same clock, counters and Rng stream position on both cores. */
+void
+expectSameCore(Core &skip, Core &step, const std::string &where)
+{
+    EXPECT_EQ(skip.now(), step.now()) << where;
+    EXPECT_EQ(allStats(skip), allStats(step)) << where;
+    EXPECT_EQ(nextDraw(skip), nextDraw(step)) << where;
+}
+
 /**
  * Prepares one machine before the runs: pokes data and returns the
  * program to run (which must stay alive as long as the machine).
@@ -87,15 +166,18 @@ using Setup = std::function<const Program &(Machine &)>;
  * Run the program `rounds` times on a Core::run machine and on a
  * runInterleaved machine and compare after every round. Only the
  * first round loads the initial data image, so later rounds run on
- * warm caches and a trained predictor.
+ * warm caches and a trained predictor. Both machines run under
+ * `noise`.
  */
 void
 expectSkipMatchesStepping(const SystemConfig &cfg, const Setup &setup,
                           const std::string &name, unsigned rounds = 2,
-                          RunOptions options = {})
+                          RunOptions options = {},
+                          const NoiseProfile &noise = NoiseProfile::quiet())
 {
-    Machine skipping(cfg);
-    Machine stepping(cfg);
+    MachinePair pair(cfg, noise);
+    Machine &skipping = pair.skipping;
+    Machine &stepping = pair.stepping;
     const Program &skip_prog = setup(skipping);
     const Program &step_prog = setup(stepping);
     for (unsigned round = 0; round < rounds; ++round) {
@@ -106,9 +188,7 @@ expectSkipMatchesStepping(const SystemConfig &cfg, const Setup &setup,
         const RunResult step =
             stepping.runInterleaved({&step_prog}, options)[0];
         expectSameResult(skip, step, where);
-        EXPECT_EQ(skipping.core().now(), stepping.core().now()) << where;
-        EXPECT_EQ(allStats(skipping.core()), allStats(stepping.core()))
-            << where;
+        expectSameCore(skipping.core(), stepping.core(), where);
         options.loadData = false;
     }
 }
@@ -364,19 +444,121 @@ TEST(IdleSkip, DelayOnMissWaitsForFillNotEvent)
 
 TEST(IdleSkip, InterruptNoiseMatchesStepping)
 {
-    // Noise draws the Rng every cycle, so run() must not skip at all.
-    AttackSetup setup(UnxpecConfig{}, 1);
+    // The skip draws each skipped cycle's interrupt in order, so the
+    // Rng stream, and with it every noisy result, is the stepped one.
+    const VictimListing aes = buildVictim(VictimConfig{});
+    RunOptions poked;
+    poked.loadData = false;
+    for (const CleanupMode mode : allModes()) {
+        for (const NamedNoise &noise : noiseProfiles()) {
+            for (const int secret : {0, 1}) {
+                const std::string tag = std::string(" noise=") +
+                    noise.name + " secret=" + std::to_string(secret);
+                AttackSetup setup(UnxpecConfig{}, secret);
+                expectSkipMatchesStepping(configFor(mode), std::ref(setup),
+                                          "fig03" + tag, 2, {},
+                                          noise.profile);
+                // The AES key's first byte picks the lines the victim
+                // touches: load the image, then poke it.
+                expectSkipMatchesStepping(
+                    configFor(mode),
+                    [&](Machine &machine) -> const Program & {
+                        aes.program.loadInitialData(machine.core().mem());
+                        machine.core().mem().write8(
+                            aes.symbol(kAesKeySym), secret ? 0xa5 : 0x00);
+                        return aes.program;
+                    },
+                    "victim-aes" + tag, 1, poked, noise.profile);
+            }
+        }
+    }
+}
+
+TEST(IdleSkip, NoiseJumpsOverWholeStalls)
+{
+    // A stall that a replayed draw starts extends the jump past it:
+    // run() never steps a cycle that an earlier stall already froze.
+    const VictimListing aes = buildVictim(VictimConfig{});
+    for (const CleanupMode mode : allModes()) {
+        AttackSetup setup(UnxpecConfig{}, 1);
+        MachinePair pair(configFor(mode), denseNoise());
+        Core &core = pair.skipping.core();
+        for (const Program *program : {&setup(pair.skipping), &aes.program}) {
+            core.runBegin(*program);
+            unsigned stalls = 0;
+            while (core.runStep()) {
+                stalls += AuditTap::stallUntil(core) > core.now() + 1;
+                AuditTap::skipIdleCycles(core);
+                ASSERT_GE(core.now() + 1, AuditTap::stallUntil(core))
+                    << toString(mode) << " landed inside a stall";
+            }
+            core.runFinish();
+            EXPECT_GT(stalls, 0u) << toString(mode) << " never stalled";
+        }
+    }
+}
+
+TEST(IdleSkip, CycleLimitInsideInterruptStallMatchesStepping)
+{
+    // Find a jump in which a replayed draw starts a stall that outlasts
+    // the jump's event, then cap the run in the stretch between the
+    // event and the stall's end: the capped jump must stop there.
     const SystemConfig cfg = configFor(CleanupMode::Cleanup_FOR_L1L2);
-    Machine skipping(cfg);
-    Machine stepping(cfg);
-    skipping.core().setInterruptNoise(0.01, 20, 200);
-    stepping.core().setInterruptNoise(0.01, 20, 200);
-    const Program &skip_prog = setup(skipping);
-    const Program &step_prog = setup(stepping);
-    const RunResult skip = skipping.core().run(skip_prog);
-    const RunResult step = stepping.runInterleaved({&step_prog})[0];
-    expectSameResult(skip, step, "noisy");
-    EXPECT_EQ(allStats(skipping.core()), allStats(stepping.core()));
+    Cycle limit = 0;
+    {
+        AttackSetup setup(UnxpecConfig{}, 1);
+        MachinePair probe(cfg, denseNoise());
+        Core &core = probe.skipping.core();
+        const Program &program = setup(probe.skipping);
+        const Cycle start = core.now();
+        core.runBegin(program);
+        while (limit == 0 && core.runStep()) {
+            const Cycle from = core.now();
+            const Cycle event = AuditTap::nextActiveCycle(core);
+            AuditTap::skipIdleCycles(core);
+            const Cycle stall = AuditTap::stallUntil(core);
+            if (event > from + 1 && stall > event + 1)
+                limit = (event + stall) / 2 - start;
+        }
+    }
+    ASSERT_GT(limit, 0u) << "no stall started inside a jump";
+
+    RunOptions options;
+    options.maxCycles = limit;
+    AttackSetup setup(UnxpecConfig{}, 1);
+    MachinePair pair(cfg, denseNoise());
+    const Program &skip_prog = setup(pair.skipping);
+    const Program &step_prog = setup(pair.stepping);
+    const RunResult skip = pair.skipping.core().run(skip_prog, options);
+    const RunResult step =
+        pair.stepping.runInterleaved({&step_prog}, options)[0];
+    EXPECT_TRUE(skip.cycleLimitReached);
+    EXPECT_EQ(skip.cycles, limit);
+    EXPECT_LT(pair.skipping.core().now(),
+              AuditTap::stallUntil(pair.skipping.core()))
+        << "the limit does not fall inside the interrupt stall";
+    expectSameResult(skip, step, "capped in an interrupt stall");
+    expectSameCore(pair.skipping.core(), pair.stepping.core(),
+                   "capped in an interrupt stall");
+}
+
+TEST(IdleSkip, RunOffInsideInterruptStallMatchesStepping)
+{
+    // An empty program has nothing to wait for: the first unstalled
+    // cycle ends the run. One-cycle stalls on every other cycle put
+    // an interrupt on the first cycle of some rounds; the jump must
+    // stop at the stall's end, not run to the cycle limit.
+    NoiseProfile coin;
+    coin.interruptProbPerCycle = 0.5;
+    coin.interruptStallMin = 1;
+    coin.interruptStallMax = 1;
+    RunOptions options;
+    options.maxCycles = 1000;
+    const Program empty = ProgramBuilder().build();
+    expectSkipMatchesStepping(
+        configFor(CleanupMode::UnsafeBaseline),
+        [&](Machine &) -> const Program & { return empty; },
+        "empty program", 8, options, coin);
 }
 
 TEST(IdleSkip, CycleLimitInsideCleanupStallMatchesStepping)
@@ -420,36 +602,41 @@ TEST(IdleSkip, CycleLimitInsideCleanupStallMatchesStepping)
     EXPECT_LT(skipping.core().now(), last.cycle + last.stall)
         << "the limit does not fall inside the rollback stall";
     expectSameResult(skip, step, "capped");
-    EXPECT_EQ(skipping.core().now(), stepping.core().now());
-    EXPECT_EQ(allStats(skipping.core()), allStats(stepping.core()));
+    expectSameCore(skipping.core(), stepping.core(), "capped");
 }
 
 TEST(IdleSkip, TrialBudgetMatchesStepping)
 {
     // The trial watchdog shares one budget across runs; it must trip
-    // on the same cycle of the same run under both drivers.
-    const SystemConfig cfg = configFor(CleanupMode::Cleanup_FOR_L1L2);
-    AttackSetup setup(UnxpecConfig{}, 1);
-    Machine skipping(cfg);
-    Machine stepping(cfg);
-    const Program &skip_prog = setup(skipping);
-    const Program &step_prog = setup(stepping);
-    skipping.setCycleBudget(7000);
-    stepping.setCycleBudget(7000);
-    RunOptions options;
-    for (unsigned round = 0; round < 3; ++round) {
-        const RunResult skip = skipping.core().run(skip_prog, options);
-        const RunResult step =
-            stepping.runInterleaved({&step_prog}, options)[0];
-        expectSameResult(skip, step, "budget round " +
-                                         std::to_string(round));
-        EXPECT_EQ(skipping.core().cycleBudgetRemaining(),
-                  stepping.core().cycleBudgetRemaining());
-        options.loadData = false;
+    // on the same cycle of the same run under both drivers, with and
+    // without interrupt noise.
+    for (const NoiseProfile &noise : {NoiseProfile::quiet(), denseNoise()}) {
+        const std::string tag =
+            noise.interruptProbPerCycle > 0.0 ? "noisy " : "quiet ";
+        AttackSetup setup(UnxpecConfig{}, 1);
+        MachinePair pair(configFor(CleanupMode::Cleanup_FOR_L1L2), noise);
+        Machine &skipping = pair.skipping;
+        Machine &stepping = pair.stepping;
+        const Program &skip_prog = setup(skipping);
+        const Program &step_prog = setup(stepping);
+        skipping.setCycleBudget(7000);
+        stepping.setCycleBudget(7000);
+        RunOptions options;
+        for (unsigned round = 0; round < 3; ++round) {
+            const std::string where =
+                tag + "budget round " + std::to_string(round);
+            const RunResult skip = skipping.core().run(skip_prog, options);
+            const RunResult step =
+                stepping.runInterleaved({&step_prog}, options)[0];
+            expectSameResult(skip, step, where);
+            EXPECT_EQ(skipping.core().cycleBudgetRemaining(),
+                      stepping.core().cycleBudgetRemaining())
+                << where;
+            options.loadData = false;
+        }
+        EXPECT_TRUE(skipping.limitTripped()) << tag;
+        expectSameCore(skipping.core(), stepping.core(), tag + "budget");
     }
-    EXPECT_TRUE(skipping.limitTripped());
-    EXPECT_EQ(skipping.core().now(), stepping.core().now());
-    EXPECT_EQ(allStats(skipping.core()), allStats(stepping.core()));
 }
 
 } // namespace
